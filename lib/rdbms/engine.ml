@@ -603,10 +603,28 @@ let find_index_spec catalog name =
 (* Run an ad-hoc (uncached) plan under the current backend. The one-time
    closure compile is paid per execution here; repeated statements go
    through the prepared paths, which cache the compiled form. *)
-let run_plan t plan =
+let run_plan t ?(stats = t.stats) plan =
   match t.backend with
-  | Interpreted -> Executor.run t.stats plan
-  | Compiled -> Exec_compiled.run (Exec_compiled.compile t.stats plan)
+  | Interpreted -> Executor.run stats plan
+  | Compiled -> Exec_compiled.run (Exec_compiled.compile stats plan)
+
+(* The rows of [table] satisfying [cond] (DELETE/UPDATE victims), found
+   by the current backend like any other plan. The predicate runs
+   against scratch Stats: the caller has already charged the table scan,
+   and a measured relation's pool misses reach the engine Stats directly
+   through the buffer pool. *)
+let victims_where t table cond =
+  let q =
+    Sql_ast.Q_select
+      {
+        distinct = false;
+        items = [ Sql_ast.Sel_star ];
+        from = [ { Sql_ast.table; alias = None } ];
+        where = Some cond;
+        group_by = [];
+      }
+  in
+  run_plan t ~stats:(Stats.create ()) (plan_query_or_fail t q)
 
 (* Execute a statement that has already been counted in [stats.statements].
    SELECT and INSERT ... SELECT are planned from scratch here; the cached
@@ -769,24 +787,7 @@ let run_stmt_raw t stmt =
               t.stats.Stats.page_reads <- t.stats.Stats.page_reads + Relation.pages rel;
             match where with
             | None -> Relation.to_list rel
-            | Some cond ->
-                let q =
-                  Sql_ast.Q_select
-                    {
-                      distinct = false;
-                      items = [ Sql_ast.Sel_star ];
-                      from = [ { Sql_ast.table; alias = None } ];
-                      where = Some cond;
-                      group_by = [];
-                    }
-                in
-                let plan =
-                  try Planner.plan_query ~join_order:t.join_order t.catalog q
-                  with Planner.Plan_error msg -> raise (Sql_error msg)
-                in
-                (* evaluate the predicate without double-charging a scan *)
-                let scratch = Stats.create () in
-                Executor.run scratch plan)
+            | Some cond -> victims_where t table cond)
       in
       let deleted =
         List.fold_left
@@ -848,36 +849,25 @@ let run_stmt_raw t stmt =
       let victims =
         match where with
         | None -> Relation.to_list rel
-        | Some cond ->
-            let q =
-              Sql_ast.Q_select
-                {
-                  distinct = false;
-                  items = [ Sql_ast.Sel_star ];
-                  from = [ { Sql_ast.table; alias = None } ];
-                  where = Some cond;
-                  group_by = [];
-                }
-            in
-            let plan =
-              try Planner.plan_query ~join_order:t.join_order t.catalog q with
-              | Planner.Plan_error msg -> raise (Sql_error msg)
-            in
-            Executor.run (Stats.create ()) plan
+        | Some cond -> victims_where t table cond
       in
-      let updated =
-        List.fold_left
-          (fun acc old ->
+      let changes =
+        List.filter_map
+          (fun old ->
             let fresh = Array.copy old in
             List.iter (fun (pos, value_of) -> fresh.(pos) <- value_of old) compiled_sets;
-            if Tuple.equal fresh old then acc
-            else begin
-              if Relation.delete rel old then record t (fun () -> U_delete (table, old));
-              if Relation.insert rel fresh then record t (fun () -> U_insert (table, fresh));
-              acc + 1
-            end)
-          0 victims
+            if Tuple.equal fresh old then None else Some (old, fresh))
+          victims
       in
+      (* every old row goes before any new one comes in: a new row may
+         equal another victim's old row, which must not swallow it *)
+      List.iter
+        (fun (old, _) -> if Relation.delete rel old then record t (fun () -> U_delete (table, old)))
+        changes;
+      List.iter
+        (fun (_, fresh) -> if Relation.insert rel fresh then record t (fun () -> U_insert (table, fresh)))
+        changes;
+      let updated = List.length changes in
       if updated > 0 then begin
         if not (measured rel) then
           t.stats.Stats.page_writes <- t.stats.Stats.page_writes + 1;

@@ -715,6 +715,29 @@ let greedy_order catalog scope per_table joins =
   done;
   List.rev !order
 
+(* SELECT * lists columns in FROM order, but a reordered join produces
+   them in join order: put them back with a projection. The layout holds
+   every FROM index once, so it is in FROM order iff it reads 0, 1, 2... *)
+let star_in_from_order scope layout plan =
+  let rec in_from_order i = function
+    | [] -> true
+    | (j, _) :: rest -> i = j && in_from_order (i + 1) rest
+  in
+  if in_from_order 0 layout then plan
+  else
+    let header = Plan.header_of plan in
+    let positions =
+      List.concat_map
+        (fun (i, base) -> List.init (Schema.arity scope.(i).si_schema) (fun p -> base + p))
+        (List.sort compare layout)
+    in
+    Plan.Project
+      {
+        input = plan;
+        header = Array.of_list (List.map (fun p -> header.(p)) positions);
+        exprs = Array.of_list (List.map (fun p -> Plan.R_col p) positions);
+      }
+
 let plan_core ?(join_order = Syntactic) catalog core =
   let scope = scope_of_from catalog core.from in
   let n = Array.length scope in
@@ -766,7 +789,7 @@ let plan_core ?(join_order = Syntactic) catalog core =
   in
   let projected =
     match core.items with
-    | [ Sel_star ] when not has_agg -> with_anti
+    | [ Sel_star ] when not has_agg -> star_in_from_order scope layout with_anti
     | [ Sel_count_star _ ] when core.group_by = [] ->
         (* fast path kept from the pre-aggregate engine *)
         plan_projection scope layout with_anti core.items

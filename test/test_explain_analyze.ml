@@ -88,6 +88,64 @@ let test_insert_select_analyze () =
     (profile.Profile.op = "Insert grand");
   Alcotest.(check bool) "insert charged some writes" true (delta.Stats.page_writes > 0)
 
+(* Tree sums = Stats delta across the operator set, including the fast
+   paths over bare relations (COUNT, DISTINCT, UNION and EXCEPT charge
+   a scan they never run) and, once the tables are heap-backed, the
+   measured scans those fast paths must not skip. *)
+let analyzed =
+  [
+    "SELECT b.v FROM small s, big b WHERE s.k = b.k";
+    "SELECT b.v, s.w FROM small s, big b WHERE s.k < b.k";
+    "SELECT v FROM big WHERE NOT EXISTS (SELECT * FROM small s WHERE s.k = big.k)";
+    "SELECT v, COUNT(*) FROM big GROUP BY v ORDER BY 1";
+    "SELECT COUNT(*) FROM big";
+    "SELECT DISTINCT * FROM big";
+    "SELECT * FROM big UNION SELECT * FROM small";
+    "SELECT k, v FROM big WHERE k > 3 EXCEPT SELECT * FROM small";
+    "SELECT * FROM big EXCEPT SELECT * FROM small";
+    "INSERT INTO third SELECT k, v FROM big WHERE k < 10";
+    "INSERT INTO third SELECT * FROM big EXCEPT SELECT * FROM third";
+  ]
+
+let battery_engine () =
+  let e = Engine.create () in
+  List.iter (exec e)
+    [
+      "CREATE TABLE big (k INT, v CHAR)";
+      "CREATE TABLE small (k INT, w CHAR)";
+      "CREATE TABLE third (k INT, z CHAR)";
+      "CREATE INDEX idx_big_k ON big (k)";
+      "CREATE INDEX idx_small_k ON small (k)";
+    ];
+  for i = 0 to 59 do
+    exec e (Printf.sprintf "INSERT INTO big VALUES (%d, 's%d')" (i * 7 mod 20) (i mod 4))
+  done;
+  for i = 0 to 11 do
+    exec e (Printf.sprintf "INSERT INTO small VALUES (%d, 's%d')" (i * 3 mod 20) (i mod 3))
+  done;
+  e
+
+let test_battery_sums () =
+  let run what e =
+    List.iter
+      (fun sql ->
+        let _, profile, delta = Engine.exec_analyze e sql in
+        check_sums (what ^ sql) profile delta)
+      analyzed
+  in
+  run "in memory: " (battery_engine ());
+  let dir = Filename.temp_dir "dkb_analyze" "" in
+  let e = battery_engine () in
+  Engine.attach_storage e ~dir ~pool_pages:4 ();
+  Engine.drop_page_cache e;
+  let _, _, delta = Engine.exec_analyze e "SELECT COUNT(*) FROM big" in
+  Alcotest.(check bool) "a cold heap-backed COUNT(*) really reads pages" true
+    (delta.Stats.page_reads > 0);
+  run "heap-backed: " e;
+  Engine.close_storage e;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let test_non_analyzable_statement () =
   let e = engine_with_parent () in
   (match Engine.exec_analyze e "CREATE TABLE t2 (x INT)" with
@@ -168,6 +226,7 @@ let () =
             test_per_node_attribution;
           Alcotest.test_case "rendered text" `Quick test_render_and_totals_line;
           Alcotest.test_case "INSERT ... SELECT" `Quick test_insert_select_analyze;
+          Alcotest.test_case "statement battery sums to Stats delta" `Quick test_battery_sums;
           Alcotest.test_case "DDL rejected without running" `Quick
             test_non_analyzable_statement;
         ] );

@@ -122,11 +122,21 @@ let test_unsafe_rejected () =
   | Error e -> Alcotest.fail ("wrong error: " ^ TD.error_to_string e)
   | Ok _ -> Alcotest.fail "unsafe rule was not rejected"
 
-(* equivalence with the bottom-up runtime *)
+(* equivalence with the bottom-up runtime, for every evaluation strategy
+   and magic mode, with the engine's invariant sanitizer on *)
 let prop_matches_bottom_up =
   let gen =
     QCheck2.Gen.(
       pair (list_size (int_range 0 25) (pair (int_bound 8) (int_bound 8))) (int_bound 8))
+  in
+  let modes =
+    let d = Core.Session.default_options in
+    [
+      d;
+      { d with strategy = Core.Runtime.Naive };
+      { d with optimize = Core.Compiler.Opt_on };
+      { d with optimize = Core.Compiler.Opt_supplementary };
+    ]
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:60 ~name:"top-down = bottom-up on random graphs" gen
@@ -135,14 +145,15 @@ let prop_matches_bottom_up =
            solve edges (A.atom "tc" [ A.Const (V.Int c); A.Var "W" ]) |> List.map snd
          in
          let s = Core.Session.create () in
+         Rdbms.Engine.set_sanitize (Core.Session.engine s) true;
          (match Workload.Queries.setup_edge s edges with
          | Ok () -> ()
          | Error e -> failwith e);
          (match Core.Session.load_rules s Workload.Queries.tc_rules with
          | Ok () -> ()
          | Error e -> failwith e);
-         let bottom =
-           match Core.Session.query_goal s (Workload.Queries.tc_goal_from c) with
+         let bottom options =
+           match Core.Session.query_goal s ~options (Workload.Queries.tc_goal_from c) with
            | Ok a ->
                List.map
                  (fun r -> match r.(0) with V.Int x -> x | _ -> -1)
@@ -150,7 +161,8 @@ let prop_matches_bottom_up =
                |> List.sort compare
            | Error e -> failwith e
          in
-         top = bottom))
+         List.for_all (fun options -> top = bottom options) modes
+         && Rdbms.Engine.check_invariants (Core.Session.engine s) = []))
 
 let () =
   Alcotest.run "topdown"
