@@ -45,7 +45,8 @@ let compile_fresh session options goal =
 let execute session options (compiled : Compiler.compiled) =
   match
     Runtime.execute (Session.engine session) ~strategy:options.Session.strategy
-      ~index_derived:options.Session.index_derived compiled.Compiler.program
+      ~paper_loop:options.Session.paper_loop ~index_derived:options.Session.index_derived
+      compiled.Compiler.program
   with
   | run ->
       Ok

@@ -94,6 +94,13 @@ let count_prep ctx p =
           | Engine.Rows { rows = [ [| Rdbms.Value.Int n |] ]; _ } -> n
           | _ -> failwith "COUNT(*) did not return a single integer"))
 
+let affected_prep ctx bucket p =
+  Timer.Phases.record ctx.phases bucket (fun () ->
+      with_phase_io ctx bucket (fun () ->
+          match Engine.exec_prepared ctx.engine p with
+          | Engine.Affected n -> n
+          | _ -> failwith "INSERT did not return an affected count"))
+
 let create_table ctx ?(with_index = false) name types =
   exec ctx "create_drop" (Datalog.Sqlgen.create_table ~name ~types ());
   if with_index && ctx.index_derived && types <> [] then
@@ -210,40 +217,94 @@ let eval_clique_naive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rules =
 (* ------------------------------------------------------------------ *)
 (* Clique evaluation: semi-naive *)
 
+(* How one member absorbs an iteration's candidates. [Fused] is one
+   statement, [INSERT INTO p NEW INTO delta SELECT * FROM cand]: the rows
+   new to [p] go into [p] and into [delta], and its affected count is the
+   termination test. [Paper] is the paper's literal sequence, kept for
+   the experiments that measure it (Test 6): diff <- cand EXCEPT p, a
+   COUNT( * ) of diff, then the copies delta <- diff and p <- delta. *)
+type member_step =
+  | Fused of {
+      merge : Engine.prepared;
+      accumulate : Engine.prepared option;  (** sink <- delta *)
+    }
+  | Paper of {
+      truncate_diff : Engine.prepared;
+      fill_diff : Engine.prepared;  (** diff <- candidates EXCEPT current *)
+      count_diff : Engine.prepared;
+      new_delta : Engine.prepared;  (** delta <- diff *)
+      absorb : Engine.prepared;  (** current <- delta *)
+    }
+
 type seminaive_member = {
   sm_pred : string;
   sm_truncate_cand : Engine.prepared;
-  sm_truncate_diff : Engine.prepared;
-  sm_fill_diff : Engine.prepared;  (** diff <- candidates EXCEPT current *)
-  sm_count_diff : Engine.prepared;
   sm_truncate_delta : Engine.prepared;
-  sm_new_delta : Engine.prepared;  (** delta <- diff *)
-  sm_absorb : Engine.prepared;  (** current <- delta *)
-  sm_accumulate : Engine.prepared option;  (** optional: sink <- diff *)
+  sm_step : member_step;
 }
 
 (* The per-member statements of the semi-naive inner loop, over the given
-   table name. The member table and its [delta]/[new_delta]/[diff] scratch
-   tables must already exist. *)
-let seminaive_member ctx ?accumulate p =
-  let delta = Names.delta p and cand = Names.new_delta p and diff = Names.diff p in
+   table name. The member table and its [delta]/[new_delta] scratch
+   tables must already exist, and [diff] too for the paper step. *)
+let seminaive_member ctx p sm_step =
   {
     sm_pred = p;
-    sm_truncate_cand = prep ctx ("TRUNCATE TABLE " ^ cand);
-    sm_truncate_diff = prep ctx ("TRUNCATE TABLE " ^ diff);
-    sm_fill_diff =
-      prep ctx
-        (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)" diff
-           cand p);
-    sm_count_diff = prep ctx (Printf.sprintf "SELECT COUNT(*) FROM %s" diff);
-    sm_truncate_delta = prep ctx ("TRUNCATE TABLE " ^ delta);
-    sm_new_delta = prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" delta diff);
-    sm_absorb = prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" p delta);
-    sm_accumulate =
-      Option.map
-        (fun sink -> prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" sink diff))
-        accumulate;
+    sm_truncate_cand = prep ctx ("TRUNCATE TABLE " ^ Names.new_delta p);
+    sm_truncate_delta = prep ctx ("TRUNCATE TABLE " ^ Names.delta p);
+    sm_step;
   }
+
+(* [accumulate] names a sink that receives every genuinely new tuple. *)
+let fused_member ctx ?accumulate p =
+  let delta = Names.delta p in
+  seminaive_member ctx p
+    (Fused
+       {
+         merge =
+           prep ctx
+             (Printf.sprintf "INSERT INTO %s NEW INTO %s SELECT * FROM %s" p delta
+                (Names.new_delta p));
+         accumulate =
+           Option.map
+             (fun sink -> prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" sink delta))
+             accumulate;
+       })
+
+let paper_member ctx p =
+  let delta = Names.delta p and diff = Names.diff p in
+  seminaive_member ctx p
+    (Paper
+       {
+         truncate_diff = prep ctx ("TRUNCATE TABLE " ^ diff);
+         fill_diff =
+           prep ctx
+             (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)" diff
+                (Names.new_delta p) p);
+         count_diff = prep ctx (Printf.sprintf "SELECT COUNT(*) FROM %s" diff);
+         new_delta = prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" delta diff);
+         absorb = prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" p delta);
+       })
+
+(* One member's step of an iteration; returns the number of genuinely new
+   tuples. The fused merge is both the termination test and the absorb,
+   so it is charged to "termination". *)
+let absorb_member ctx sm =
+  match sm.sm_step with
+  | Fused { merge; accumulate } ->
+      run_prep ctx "create_drop" sm.sm_truncate_delta;
+      let n = affected_prep ctx "termination" merge in
+      (match accumulate with
+      | Some p when n > 0 -> run_prep ctx "copy" p
+      | _ -> ());
+      n
+  | Paper { truncate_diff; fill_diff; count_diff; new_delta; absorb } ->
+      run_prep ctx "create_drop" truncate_diff;
+      run_prep ctx "termination" fill_diff;
+      let n = count_prep ctx count_diff in
+      run_prep ctx "create_drop" sm.sm_truncate_delta;
+      run_prep ctx "copy" new_delta;
+      run_prep ctx "copy" absorb;
+      n
 
 (* The semi-naive inner loop itself, shared between full LFP evaluation
    and incremental propagation (Core.Incremental): assumes each member's
@@ -259,26 +320,19 @@ let seminaive_loop ctx ~label ~rule_preps ~member_preps =
     let snap = begin_iteration ctx in
     List.iter (fun sm -> run_prep ctx "create_drop" sm.sm_truncate_cand) member_preps;
     List.iter (fun p -> run_prep ctx "eval" p) rule_preps;
-    let deltas = ref [] in
-    List.iter
-      (fun sm ->
-        run_prep ctx "create_drop" sm.sm_truncate_diff;
-        run_prep ctx "termination" sm.sm_fill_diff;
-        let n = count_prep ctx sm.sm_count_diff in
-        deltas := (sm.sm_pred, n) :: !deltas;
-        (match sm.sm_accumulate with
-        | Some p when n > 0 -> run_prep ctx "copy" p
-        | _ -> ());
-        run_prep ctx "create_drop" sm.sm_truncate_delta;
-        run_prep ctx "copy" sm.sm_new_delta;
-        run_prep ctx "copy" sm.sm_absorb;
-        if n > 0 then changed := true)
-      member_preps;
-    end_iteration ctx ~label ~index:!iterations ~deltas:(List.rev !deltas) snap
+    let deltas =
+      List.map
+        (fun sm ->
+          let n = absorb_member ctx sm in
+          if n > 0 then changed := true;
+          (sm.sm_pred, n))
+        member_preps
+    in
+    end_iteration ctx ~label ~index:!iterations ~deltas snap
   done;
   !iterations
 
-let eval_clique_seminaive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rules =
+let eval_clique_seminaive ctx ~paper_loop ~label ~members ~fact_inserts ~exit_rules ~rec_rules =
   (* init: facts and exit rules, delta = everything so far *)
   List.iter (fun (p, types) -> create_table ctx ~with_index:true p types) members;
   List.iter
@@ -286,11 +340,12 @@ let eval_clique_seminaive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rul
       List.iter (fun ins -> exec ctx "eval" (Codegen.insert_sql ins)) inserts)
     fact_inserts;
   List.iter (fun (head, r) -> insert_select ctx "eval" head r.Codegen.cr_select) exit_rules;
+  let scratch p =
+    Names.delta p :: Names.new_delta p :: (if paper_loop then [ Names.diff p ] else [])
+  in
   List.iter
     (fun (p, types) ->
-      create_table ctx (Names.delta p) types;
-      create_table ctx (Names.new_delta p) types;
-      create_table ctx (Names.diff p) types;
+      List.iter (fun s -> create_table ctx s types) (scratch p);
       copy_into ctx (Names.delta p) p)
     members;
   let rule_preps =
@@ -305,14 +360,11 @@ let eval_clique_seminaive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rul
             List.map (fun sel -> prep ctx (Printf.sprintf "INSERT INTO %s %s" target sel)) variants)
       rec_rules
   in
-  let member_preps = List.map (fun (p, _) -> seminaive_member ctx p) members in
+  let member_preps =
+    List.map (fun (p, _) -> if paper_loop then paper_member ctx p else fused_member ctx p) members
+  in
   let iterations = seminaive_loop ctx ~label ~rule_preps ~member_preps in
-  List.iter
-    (fun (p, _) ->
-      drop_table ctx (Names.delta p);
-      drop_table ctx (Names.new_delta p);
-      drop_table ctx (Names.diff p))
-    members;
+  List.iter (fun (p, _) -> List.iter (drop_table ctx) (scratch p)) members;
   iterations
 
 (* ------------------------------------------------------------------ *)
@@ -324,8 +376,8 @@ let drop_all_program_tables ctx (program : Codegen.t) =
     (fun (name, _) -> List.iter (drop_table ctx) (name :: Names.scratch_tables name))
     program.Codegen.derived_tables
 
-let execute engine ?(strategy = Seminaive) ?(index_derived = false) ?(max_iterations = 100_000)
-    ?(cleanup = true) ?observer (program : Codegen.t) =
+let execute engine ?(strategy = Seminaive) ?(paper_loop = false) ?(index_derived = false)
+    ?(max_iterations = 100_000) ?(cleanup = true) ?observer (program : Codegen.t) =
   (* Derived and scratch tables live and die within this evaluation, so
      none of their churn belongs in the WAL. Undo logging stays active. *)
   Engine.suspend_logging engine @@ fun () ->
@@ -369,8 +421,8 @@ let execute engine ?(strategy = Seminaive) ?(index_derived = false) ?(max_iterat
                   | Naive ->
                       eval_clique_naive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rules
                   | Seminaive ->
-                      eval_clique_seminaive ctx ~label ~members ~fact_inserts ~exit_rules
-                        ~rec_rules
+                      eval_clique_seminaive ctx ~paper_loop ~label ~members ~fact_inserts
+                        ~exit_rules ~rec_rules
                 in
                 iterations := (label, iters) :: !iterations )
       in
@@ -416,9 +468,10 @@ let execute engine ?(strategy = Seminaive) ?(index_derived = false) ?(max_iterat
 
 (* ------------------------------------------------------------------ *)
 (* Re-entering the semi-naive loop over existing tables (incremental
-   view maintenance). The caller owns table lifecycle: each member table
-   holds the current state, its delta table the seed (already absorbed
-   into the member), and the new-delta/diff scratch tables exist. *)
+   view maintenance), always with the fused step. The caller owns table
+   lifecycle: each member table holds the current state, its delta table
+   the seed (already absorbed into the member), and the new-delta scratch
+   table exists. *)
 
 let resume_seminaive engine ?(max_iterations = 100_000) ?observer ~label ~members ~rules
     ?accumulate () =
@@ -440,5 +493,5 @@ let resume_seminaive engine ?(max_iterations = 100_000) ?observer ~label ~member
       rules
   in
   let accumulate = match accumulate with Some f -> f | None -> fun _ -> None in
-  let member_preps = List.map (fun p -> seminaive_member ctx ?accumulate:(accumulate p) p) members in
+  let member_preps = List.map (fun p -> fused_member ctx ?accumulate:(accumulate p) p) members in
   seminaive_loop ctx ~label ~rule_preps ~member_preps

@@ -1,26 +1,42 @@
 (** The Run Time Library (paper §3.3): interprets the generated program
     against the DBMS, computing least fixed points bottom-up with either
-    naive or semi-naive iteration, entirely through SQL — including the
-    temp-table churn and EXCEPT-based termination checks whose cost the
-    paper analyses in Test 6.
+    naive or semi-naive iteration, entirely through SQL — including (with
+    [paper_loop], and always for naive iteration) the temp-table churn and
+    EXCEPT-based termination checks whose cost the paper analyses in
+    Test 6.
 
     Wall-clock time is accumulated into four step buckets matching the
     paper's breakdown:
     - ["create_drop"] — creating and dropping temporary tables;
     - ["eval"] — evaluating rule right-hand sides (INSERT ... SELECT);
-    - ["termination"] — set differences and COUNT( * ) termination checks;
-    - ["copy"] — table-to-table copies. *)
+    - ["termination"] — set differences and COUNT( * ) termination checks,
+      or the fused merge;
+    - ["copy"] — table-to-table copies.
+
+    Each semi-naive iteration runs, per clique, a TRUNCATE of every
+    member's candidate table and the rule INSERTs into it; then, per
+    member, a TRUNCATE of its delta table and one merge,
+    [INSERT INTO p NEW INTO dlt__p SELECT * FROM cand__p], whose
+    affected count is the member's new-tuple count. The merge is both the
+    termination test and the absorb, and is charged to ["termination"].
+    With [paper_loop] the member step is instead the paper's literal
+    sequence: diff <- candidates EXCEPT p, a COUNT( * ) of diff, and the
+    copies delta <- diff and p <- delta. *)
 
 type strategy =
   | Naive
   | Seminaive
+
+val phase_buckets : string list
+(** The four step buckets, in the order above. *)
 
 type iteration_profile = {
   ip_label : string;  (** clique label (as in [iterations]) *)
   ip_index : int;  (** 1-based iteration number within the clique *)
   ip_deltas : (string * int) list;
       (** per member predicate, the number of genuinely new tuples this
-          iteration produced (the EXCEPT difference cardinality) *)
+          iteration produced (the merge's affected count, or the EXCEPT
+          difference's cardinality under [paper_loop]) *)
   ip_phase_io : (string * int) list;
       (** simulated I/O ({!Rdbms.Stats.total_io}) per step bucket, all
           four buckets always present in documentation order *)
@@ -44,13 +60,17 @@ type report = {
 val execute :
   Rdbms.Engine.t ->
   ?strategy:strategy ->
+  ?paper_loop:bool ->
   ?index_derived:bool ->
   ?max_iterations:int ->
   ?cleanup:bool ->
   ?observer:(iteration_profile -> unit) ->
   Codegen.t ->
   report
-(** Runs the program. [index_derived] creates a hash index on the first
+(** Runs the program. [paper_loop] (default false) runs each semi-naive
+    member step as the paper's statement sequence instead of the fused
+    merge; answers and iteration counts are the same, and naive
+    evaluation ignores it. [index_derived] creates a hash index on the first
     column of every derived table (the paper's "dynamically adaptable
     indexing" future-work idea; off by default). [cleanup] (default true)
     drops all derived tables afterwards. [observer] sees each
@@ -72,8 +92,8 @@ val resume_seminaive :
   int
 (** Re-enters the semi-naive inner loop over {e existing} tables, for
     incremental view maintenance (Core.Incremental). [members] are table
-    names; for each member [m] the tables [m], [Names.delta m],
-    [Names.new_delta m] and [Names.diff m] must already exist, with
+    names; for each member [m] the tables [m], [Names.delta m] and
+    [Names.new_delta m] must already exist, with
     [delta m] holding the seed delta {e already absorbed} into [m].
     [rules] are [(member, select_sql)] pairs whose SELECT reads the delta
     tables and whose rows are inserted into [Names.new_delta member].

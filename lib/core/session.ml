@@ -229,6 +229,7 @@ type options = {
   max_iterations : int;
   join_order : Rdbms.Planner.join_order;
   exec : Engine.exec_backend;
+  paper_loop : bool;
 }
 
 let default_options =
@@ -239,6 +240,7 @@ let default_options =
     max_iterations = 100_000;
     join_order = Rdbms.Planner.Syntactic;
     exec = Engine.Compiled;
+    paper_loop = false;
   }
 
 type answer = {
@@ -295,7 +297,7 @@ let query_goal t ?(options = default_options) ?on_iteration goal =
                 match cb with Some f -> f ip | None -> ())
       in
       match
-        Runtime.execute t.engine ~strategy:options.strategy
+        Runtime.execute t.engine ~strategy:options.strategy ~paper_loop:options.paper_loop
           ~index_derived:options.index_derived ~max_iterations:options.max_iterations ?observer
           compiled.Compiler.program
       with

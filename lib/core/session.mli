@@ -117,12 +117,17 @@ type options = {
       (** which execution backend runs the generated SQL (see
           {!Rdbms.Engine.exec_backend}); applied to the engine for the
           duration of the query and restored afterwards *)
+  paper_loop : bool;
+      (** run each semi-naive iteration as the paper's statement sequence
+          (EXCEPT, COUNT( * ), two copies) instead of the fused merge; see
+          {!Runtime.execute} *)
 }
 
 val default_options : options
-(** Semi-naive, no optimization, no derived-table indexes, a 100_000
-    iteration cap, syntactic join order, compiled execution — the
-    paper's baseline configuration on the fast backend. *)
+(** Semi-naive with the fused merge step, no optimization, no
+    derived-table indexes, a 100_000 iteration cap, syntactic join order,
+    compiled execution — the paper's baseline configuration on the fast
+    backend. *)
 
 type answer = {
   compiled : Compiler.compiled;

@@ -12,9 +12,12 @@ let measure ~repeat f = median (List.init repeat (fun _ -> f ()))
    "magic wins by >= 2x at low selectivity") that were calibrated against
    the tuple-at-a-time reference executor. Pin that backend so
    engine-speed optimizations (the compiled backend) don't compress the
-   measured ratios; Exec_bench contrasts the two backends explicitly. *)
+   measured ratios; Exec_bench contrasts the two backends explicitly.
+   They also run the paper's literal semi-naive statement sequence
+   (Test 6 measures its termination and copy costs), not the fused
+   merge. *)
 let paper_options =
-  { Session.default_options with exec = Rdbms.Engine.Interpreted }
+  { Session.default_options with exec = Rdbms.Engine.Interpreted; paper_loop = true }
 
 let section id description =
   Printf.printf "\n=== %s ===\n%s\n\n" id description

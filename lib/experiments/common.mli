@@ -14,7 +14,8 @@ val paper_options : Core.Session.options
     backend pinned: the paper-shape experiments' wall-clock ratio
     thresholds were calibrated against the tuple-at-a-time executor, so
     they keep measuring that configuration ({!Exec_bench} contrasts the
-    backends explicitly). *)
+    backends explicitly). [paper_loop] is on, so every semi-naive
+    iteration issues the paper's literal statement sequence. *)
 
 val section : string -> string -> unit
 (** Prints an experiment banner: id and description. *)

@@ -482,49 +482,75 @@ let rollback_txn t =
    list or a Batch. [trust] skips the per-row schema check — only for
    rows of a type-checked INSERT ... SELECT plan (see
    [typecheck_insert_select]); literal INSERT ... VALUES rows stay
-   validated. *)
-let insert_iter ?(trust = false) t table_name iter =
-  let tbl = Catalog.find_table t.catalog table_name in
-  match tbl with
-  | None -> fail "no such table: %s" table_name
-  | Some tbl ->
-      let rel = tbl.Catalog.tbl_relation in
-      let count = ref 0 in
-      (* the relation already sums inserted bytes; charge off its delta
-         instead of re-folding every row *)
-      let bytes0 = Relation.byte_size rel in
-      (* hoist the sink dispatch out of the hot loop: with no open
-         transaction there is no undo frame, so don't allocate one
-         closure per inserted row *)
-      let log =
-        match t.sink with
-        | None -> fun _ -> ()
-        | Some sink -> fun row -> sink := U_insert (table_name, row) :: !sink
-      in
-      let ins = if trust then Relation.insert_unchecked else Relation.insert in
-      iter (fun row ->
-          match ins rel row with
-          | true ->
-              log row;
-              incr count
-          | false -> ()
-          | exception Invalid_argument msg -> raise (Sql_error msg));
-      if !count > 0 then begin
-        (* measured relations pay for writes when the pool writes dirty
-           pages back (eviction/flush), not per statement *)
-        if not (measured rel) then
-          t.stats.Stats.page_writes <-
-            t.stats.Stats.page_writes
-            + max 1 (Stats.pages_of_bytes (Relation.byte_size rel - bytes0));
-        t.stats.Stats.rows_inserted <- t.stats.Stats.rows_inserted + !count
-      end;
-      Affected !count
+   validated. [new_into] names a second table (of the same column types)
+   that receives every row new to [table_name]: the semi-naive merge,
+   whose affected count is the number of new rows. *)
+let insert_iter ?(trust = false) ?new_into t table_name iter =
+  let relation name =
+    match Catalog.find_table t.catalog name with
+    | Some tbl -> tbl.Catalog.tbl_relation
+    | None -> fail "no such table: %s" name
+  in
+  let rel = relation table_name in
+  (* hoist the sink dispatch out of the hot loop: with no open
+     transaction there is no undo frame, so don't allocate one closure
+     per inserted row *)
+  let logger name =
+    match t.sink with
+    | None -> fun _ -> ()
+    | Some sink -> fun row -> sink := U_insert (name, row) :: !sink
+  in
+  (* the relation already sums inserted bytes; charge off its delta
+     instead of re-folding every row *)
+  let charge rel bytes0 count =
+    if count > 0 then begin
+      (* measured relations pay for writes when the pool writes dirty
+         pages back (eviction/flush), not per statement *)
+      if not (measured rel) then
+        t.stats.Stats.page_writes <-
+          t.stats.Stats.page_writes
+          + max 1 (Stats.pages_of_bytes (Relation.byte_size rel - bytes0));
+      t.stats.Stats.rows_inserted <- t.stats.Stats.rows_inserted + count
+    end
+  in
+  (* what happens to each row new to [rel] besides its own insert, and
+     the charge for it once the rows are in *)
+  let also, charge_also =
+    match new_into with
+    | None -> ((fun _ -> ()), fun () -> ())
+    | Some d_name ->
+        let d = relation d_name in
+        let log_d = logger d_name in
+        let d_count = ref 0 and d_bytes0 = Relation.byte_size d in
+        (* a row that passed the target's check fits [d]'s identical types *)
+        ( (fun row ->
+            if Relation.insert_unchecked d row then begin
+              log_d row;
+              incr d_count
+            end),
+          fun () -> charge d d_bytes0 !d_count )
+  in
+  let log = logger table_name in
+  let ins = if trust then Relation.insert_unchecked else Relation.insert in
+  let count = ref 0 in
+  let bytes0 = Relation.byte_size rel in
+  iter (fun row ->
+      match ins rel row with
+      | true ->
+          log row;
+          incr count;
+          also row
+      | false -> ()
+      | exception Invalid_argument msg -> raise (Sql_error msg));
+  charge_also ();
+  charge rel bytes0 !count;
+  Affected !count
 
-let insert_rows ?trust t table_name rows =
-  insert_iter ?trust t table_name (fun f -> List.iter f rows)
+let insert_rows ?trust ?new_into t table_name rows =
+  insert_iter ?trust ?new_into t table_name (fun f -> List.iter f rows)
 
-let insert_batch ?trust t table_name b =
-  insert_iter ?trust t table_name (fun f -> Batch.iter f b)
+let insert_batch ?trust ?new_into t table_name b =
+  insert_iter ?trust ?new_into t table_name (fun f -> Batch.iter f b)
 
 let plan_query_or_fail t q =
   try Planner.plan_query ~join_order:t.join_order t.catalog q with
@@ -548,17 +574,18 @@ let clear_table_raw t name =
       Relation.clear rel
 
 (* Check an INSERT ... SELECT source plan against the target table's
-   current schema. Both depend only on the catalog, so a successful check
-   stays valid exactly as long as a cached plan does. *)
-let typecheck_insert_select t table plan =
-  let tbl =
-    match Catalog.find_table t.catalog table with
-    | Some tbl -> tbl
-    | None -> fail "no such table: %s" table
+   current schema, and a NEW INTO table against the target: a different
+   table with the same column types. All of it depends only on the
+   catalog, so a successful check stays valid exactly as long as a
+   cached plan does. *)
+let typecheck_insert_select t table ?new_into plan =
+  let types_of name =
+    match Catalog.find_table t.catalog name with
+    | Some tbl -> Array.of_list (Schema.types (Relation.schema tbl.Catalog.tbl_relation))
+    | None -> fail "no such table: %s" name
   in
-  let target = Relation.schema tbl.Catalog.tbl_relation in
+  let target_types = types_of table in
   let source_types = Array.map (fun c -> c.Plan.h_type) (Plan.header_of plan) in
-  let target_types = Array.of_list (Schema.types target) in
   if Array.length source_types <> Array.length target_types then
     fail "INSERT ... SELECT: arity mismatch (%d into %d)" (Array.length source_types)
       (Array.length target_types);
@@ -566,7 +593,17 @@ let typecheck_insert_select t table plan =
     (fun i ty ->
       if not (Datatype.equal ty target_types.(i)) then
         fail "INSERT ... SELECT: column %d type mismatch" (i + 1))
-    source_types
+    source_types;
+  match new_into with
+  | None -> ()
+  | Some d ->
+      if String.lowercase_ascii d = String.lowercase_ascii table then
+        fail "INSERT ... NEW INTO: %s is the insert target itself" d;
+      let d_types = types_of d in
+      if
+        Array.length d_types <> Array.length target_types
+        || not (Array.for_all2 Datatype.equal d_types target_types)
+      then fail "INSERT ... NEW INTO: %s does not have the column types of %s" d table
 
 (* Capture everything needed to recreate a table if a transaction drops it
    and then rolls back. *)
@@ -710,15 +747,15 @@ let run_stmt_raw t stmt =
       Done
   | Sql_ast.Insert_values { table; rows } ->
       insert_rows t table (List.map (fun r -> Array.of_list (List.map Sql_ast.value_of_literal r)) rows)
-  | Sql_ast.Insert_select { table; query } ->
+  | Sql_ast.Insert_select { table; new_into; query } ->
       let plan = plan_query_or_fail t query in
-      typecheck_insert_select t table plan;
+      typecheck_insert_select t table ?new_into plan;
       emit_plan t plan;
       note_est_of_plan t plan;
       (match t.backend with
-      | Interpreted -> insert_rows ~trust:true t table (Executor.run t.stats plan)
+      | Interpreted -> insert_rows ~trust:true ?new_into t table (Executor.run t.stats plan)
       | Compiled ->
-          insert_batch ~trust:true t table
+          insert_batch ~trust:true ?new_into t table
             (Exec_compiled.run_batch (Exec_compiled.compile t.stats plan)))
   | Sql_ast.Delete { table; where } ->
       let tbl =
@@ -1169,10 +1206,10 @@ let select_plan_of_prepared t p query order_by =
 (* Plan the source query of INSERT ... SELECT and type-check it against
    the current target schema. Both depend only on the catalog, so a
    successful check stays valid exactly as long as the plan does. *)
-let insert_select_plan_of_prepared t p table query =
+let insert_select_plan_of_prepared t p table ?new_into query =
   plan_of_prepared t p (fun () ->
       let plan = plan_query_or_fail t query in
-      typecheck_insert_select t table plan;
+      typecheck_insert_select t table ?new_into plan;
       plan)
 
 let exec_prepared t p =
@@ -1192,13 +1229,14 @@ let exec_prepared t p =
           Array.to_list (Array.map (fun c -> c.Plan.h_name) (Plan.header_of cp.cp_plan))
         in
         Rows { columns; rows }
-    | Sql_ast.Insert_select { table; query } as stmt ->
+    | Sql_ast.Insert_select { table; new_into; query } as stmt ->
         with_stmt_frame t stmt (fun () ->
-            let cp = insert_select_plan_of_prepared t p table query in
+            let cp = insert_select_plan_of_prepared t p table ?new_into query in
             match t.backend with
-            | Interpreted -> insert_rows ~trust:true t table (Executor.run t.stats cp.cp_plan)
+            | Interpreted ->
+                insert_rows ~trust:true ?new_into t table (Executor.run t.stats cp.cp_plan)
             | Compiled ->
-                insert_batch ~trust:true t table
+                insert_batch ~trust:true ?new_into t table
                   (Exec_compiled.run_batch (Lazy.force cp.cp_exec)))
     | stmt ->
         (* no plan to cache, but a re-execution still skips lexing and
@@ -1341,17 +1379,17 @@ let exec_analyze t sql =
       let delta = Stats.diff t.stats before in
       let columns = Array.to_list (Array.map (fun c -> c.Plan.h_name) (Plan.header_of plan)) in
       (Rows { columns; rows }, profile, delta)
-  | Sql_ast.Insert_select { table; query } ->
+  | Sql_ast.Insert_select { table; new_into; query } ->
       let before = Stats.copy t.stats in
       let t0 = Timer.now_ms () in
       let source = ref None in
       let result =
         with_stmt_frame t stmt (fun () ->
             let plan = plan_query_or_fail t query in
-            typecheck_insert_select t table plan;
+            typecheck_insert_select t table ?new_into plan;
             let rows, profile = run_profiled_dispatch t plan in
             source := Some profile;
-            insert_rows ~trust:true t table rows)
+            insert_rows ~trust:true ?new_into t table rows)
       in
       let delta = Stats.diff t.stats before in
       let child =

@@ -197,9 +197,18 @@ let delete t row =
       List.iter (fun f -> f id row) t.delete_obs;
       true
 
+(* TRUNCATE keeps the row and heap-location arrays for the refill that
+   usually follows (the LFP loop truncates its scratch tables every
+   iteration) and wipes only the used prefix. Arrays more than
+   [Tuple_tbl.retain_factor] times larger than the slots just cleared
+   are reallocated at that size instead, so a long-lived table does not
+   keep the memory of one large burst. *)
 let clear t =
   maybe_capture t;
-  t.rows <- Array.make 16 None;
+  let used = t.next_id in
+  let need = max 16 used in
+  let keep a = Array.length a <= Tuple_tbl.retain_factor * need in
+  if keep t.rows then Array.fill t.rows 0 used None else t.rows <- Array.make need None;
   t.next_id <- 0;
   Tuple_tbl.reset t.ids;
   t.bytes <- 0;
@@ -208,9 +217,12 @@ let clear t =
       (* the heap and its pool frames are freed with the rows: byte and
          frame accounting shrink through the backing store uniformly *)
       Heap.clear b.bk_heap;
-      b.bk_locs <- Array.make 16 (-1)
+      if keep b.bk_locs then Array.fill b.bk_locs 0 (min used (Array.length b.bk_locs)) (-1)
+      else b.bk_locs <- Array.make need (-1)
   | None -> ());
   List.iter (fun f -> f ()) t.clear_obs
+
+let capacity t = Array.length t.rows
 
 let iteri f t =
   for id = 0 to t.next_id - 1 do

@@ -56,7 +56,12 @@ val delete : t -> Tuple.t -> bool
 (** Removes a row if present; [true] iff it was present. *)
 
 val clear : t -> unit
-(** Removes all rows (and resets row ids). *)
+(** Removes all rows (and resets row ids). The row arrays and the tuple
+    table keep their capacity for the next fill, unless it exceeds
+    {!Tuple_tbl.retain_factor} times what the cleared rows needed. *)
+
+val capacity : t -> int
+(** Row-id slots allocated (at least [16]). *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
 val iteri : (int -> Tuple.t -> unit) -> t -> unit

@@ -72,7 +72,7 @@ type stmt =
   | Create_index of { index : string; table : string; column : string; ordered : bool }
   | Drop_index of { index : string }
   | Insert_values of { table : string; rows : literal list list }
-  | Insert_select of { table : string; query : query }
+  | Insert_select of { table : string; new_into : string option; query : query }
   | Delete of { table : string; where : cond option }
   | Update of {
       table : string;

@@ -91,7 +91,14 @@ type stmt =
     }
   | Drop_index of { index : string }
   | Insert_values of { table : string; rows : literal list list }
-  | Insert_select of { table : string; query : query }
+  | Insert_select of {
+      table : string;
+      new_into : string option;
+          (** [INSERT INTO t NEW INTO d SELECT ...]: every row new to [t]
+              is also appended to [d] (same column types, a different
+              table); the affected count is the rows new to [t] *)
+      query : query;
+    }
   | Delete of { table : string; where : cond option }
   | Update of {
       table : string;

@@ -356,7 +356,9 @@ let parse_stmt st =
     expect_kw st "INTO";
     let table = ident st in
     if eat_kw st "VALUES" then Insert_values { table; rows = parse_values_rows st }
-    else Insert_select { table; query = parse_query_expr st }
+    else
+      let new_into = if eat_kw st "NEW" then (expect_kw st "INTO"; Some (ident st)) else None in
+      Insert_select { table; new_into; query = parse_query_expr st }
   end
   else if eat_kw st "UPDATE" then begin
     let table = ident st in

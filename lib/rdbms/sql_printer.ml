@@ -90,7 +90,9 @@ let stmt = function
       Printf.sprintf "INSERT INTO %s VALUES %s" table
         (String.concat ", "
            (List.map (fun row -> "(" ^ String.concat ", " (List.map literal row) ^ ")") rows))
-  | Insert_select { table; query = q } -> Printf.sprintf "INSERT INTO %s %s" table (query q)
+  | Insert_select { table; new_into; query = q } ->
+      let also = match new_into with Some d -> " NEW INTO " ^ d | None -> "" in
+      Printf.sprintf "INSERT INTO %s%s %s" table also (query q)
   | Delete { table; where } -> (
       match where with
       | Some c -> Printf.sprintf "DELETE FROM %s WHERE %s" table (cond c)

@@ -140,10 +140,30 @@ let copy t =
     fill = t.fill;
   }
 
+let capacity t = Array.length t.keys
+
+(* The smallest capacity that holds [n] entries without a resize. *)
+let capacity_for n =
+  let cap = ref initial_capacity in
+  while 2 * (n + 1) > !cap do cap := 2 * !cap done;
+  !cap
+
+(* A reset table is usually refilled to about its old size (the LFP
+   loop truncates the same scratch tables every iteration), so the
+   arrays are kept and only the key array is wiped: hashes and values are
+   read only where a key is live. A table more than [retain_factor] times
+   larger than its last contents needed is reallocated at that need, so
+   one large burst does not pin its memory for good. *)
+let retain_factor = 4
+
 let reset t =
-  t.hashes <- Array.make initial_capacity 0;
-  t.keys <- Array.make initial_capacity empty_slot;
-  t.vals <- Array.make initial_capacity 0;
+  let need = capacity_for t.size in
+  if capacity t > retain_factor * need then begin
+    t.hashes <- Array.make need 0;
+    t.keys <- Array.make need empty_slot;
+    t.vals <- Array.make need 0
+  end
+  else if t.fill > 0 then Array.fill t.keys 0 (capacity t) empty_slot;
   t.size <- 0;
   t.fill <- 0
 

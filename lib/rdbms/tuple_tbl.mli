@@ -25,6 +25,17 @@ val remove : t -> Tuple.t -> int
 (** Removes the binding and returns its value, or [-1] if absent. *)
 
 val reset : t -> unit
+(** Removes every binding. The arrays are kept for reuse unless their
+    capacity exceeds [retain_factor] times the capacity the removed
+    entries needed, in which case they are reallocated at that need. *)
+
+val capacity : t -> int
+(** Slots in the table (a power of two; at most half are occupied). *)
+
+val retain_factor : int
+(** How much larger than the need of its last contents a table may be and
+    still keep its arrays on {!reset} (also the bound
+    {!Relation.clear} applies to its row arrays). *)
 
 val copy : t -> t
 (** An independent table holding the same bindings (O(capacity) array

@@ -80,6 +80,14 @@ awk '
   }
 ' BENCH_exec.json
 
+# the fused semi-naive merge must compute the paper statement sequence's
+# answers in the same iterations, and must not be slower than it
+for gate in same_answers same_iterations fused_not_slower; do
+  grep -q "\"$gate\": true" BENCH_exec.json \
+    || { echo "exec bench: fused vs paper loop gate $gate failed"; exit 1; }
+done
+echo "fused loop OK: same answers and iterations as the paper loop, not slower"
+
 # maintained views must stay tuple-identical to a from-scratch LFP, every
 # single-edge delta must propagate incrementally, and maintenance must not
 # be slower than full re-evaluation (the >= 5x headline on the recursive

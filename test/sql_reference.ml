@@ -219,10 +219,18 @@ let table_env catalog table row =
 
 let matches catalog table where row = where_holds catalog (table_env catalog table row) where
 
-let insert_select catalog table q =
+(* the distinct rows of [q] that [table] does not hold yet *)
+let new_rows catalog table q =
   let before = contents catalog table in
-  let added = List.filter (fun r -> not (mem r before)) (distinct (query catalog q)) in
-  (distinct (before @ added), List.length added)
+  List.filter (fun r -> not (mem r before)) (distinct (query catalog q))
+
+let insert_select catalog table q =
+  let added = new_rows catalog table q in
+  (distinct (contents catalog table @ added), List.length added)
+
+(* INSERT INTO table NEW INTO d: [d] also receives the rows new to
+   [table]; this is [d]'s contents afterwards. *)
+let new_into catalog table d q = distinct (contents catalog d @ new_rows catalog table q)
 
 let delete catalog table where =
   let doomed, kept = List.partition (matches catalog table where) (contents catalog table) in

@@ -105,6 +105,8 @@ let analyzed =
     "SELECT * FROM big EXCEPT SELECT * FROM small";
     "INSERT INTO third SELECT k, v FROM big WHERE k < 10";
     "INSERT INTO third SELECT * FROM big EXCEPT SELECT * FROM third";
+    (* the fused semi-naive merge: rows new to third also land in fourth *)
+    "INSERT INTO third NEW INTO fourth SELECT * FROM small";
   ]
 
 let battery_engine () =
@@ -114,6 +116,7 @@ let battery_engine () =
       "CREATE TABLE big (k INT, v CHAR)";
       "CREATE TABLE small (k INT, w CHAR)";
       "CREATE TABLE third (k INT, z CHAR)";
+      "CREATE TABLE fourth (k INT, z CHAR)";
       "CREATE INDEX idx_big_k ON big (k)";
       "CREATE INDEX idx_small_k ON small (k)";
     ];

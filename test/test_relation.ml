@@ -67,6 +67,52 @@ let test_clear () =
   Alcotest.(check int) "empty" 0 (R.cardinal r);
   Alcotest.(check bool) "reinsert ok" true (R.insert r (row 1 "x"))
 
+let fill r n = for i = 0 to n - 1 do ignore (R.insert r (row i "v")) done
+
+(* TRUNCATE keeps its capacity for the refill that follows, and gives it
+   back once the arrays dwarf what the cleared rows needed *)
+let test_clear_keeps_capacity () =
+  let r = R.create schema2 in
+  fill r 1000;
+  let grown = R.capacity r in
+  Alcotest.(check bool) "grown to fit" true (grown >= 1000);
+  R.clear r;
+  Alcotest.(check int) "capacity kept" grown (R.capacity r);
+  Alcotest.(check (list string)) "audit clean after clear" [] (R.check r);
+  fill r 1000;
+  Alcotest.(check int) "refill needs no growth" grown (R.capacity r);
+  Alcotest.(check int) "refilled" 1000 (R.cardinal r);
+  Alcotest.(check (list string)) "audit clean after refill" [] (R.check r);
+  R.clear r;
+  (* a small fill, then a clear: 1024 slots > 4 x 16 needed *)
+  fill r 10;
+  R.clear r;
+  Alcotest.(check int) "shrunk past the bound" 16 (R.capacity r);
+  Alcotest.(check (list string)) "audit clean after shrink" [] (R.check r);
+  fill r 40;
+  R.clear r;
+  Alcotest.(check int) "within the bound: kept" 64 (R.capacity r)
+
+let test_tuple_tbl_reset () =
+  let module T = Rdbms.Tuple_tbl in
+  let t = T.create () in
+  for i = 0 to 999 do ignore (T.add t (row i "v")) done;
+  let grown = T.capacity t in
+  T.reset t;
+  Alcotest.(check int) "capacity kept" grown (T.capacity t);
+  Alcotest.(check int) "empty" 0 (T.length t);
+  Alcotest.(check bool) "old keys gone" false (T.mem t (row 5 "v"));
+  Alcotest.(check (list string)) "audit clean after reset" [] (T.check t);
+  for i = 0 to 999 do ignore (T.insert_if_absent t (row i "w") i) done;
+  Alcotest.(check int) "refill needs no growth" grown (T.capacity t);
+  Alcotest.(check int) "refilled lookups" 7 (T.find t (row 7 "w"));
+  Alcotest.(check (list string)) "audit clean after refill" [] (T.check t);
+  T.reset t;
+  for i = 0 to 4 do ignore (T.add t (row i "x")) done;
+  T.reset t;
+  Alcotest.(check int) "shrunk to the need of 5 entries" 16 (T.capacity t);
+  Alcotest.(check (list string)) "audit clean after shrink" [] (T.check t)
+
 let test_observer_order () =
   (* registration is O(1) (cons); notification order is unspecified but
      currently most-recently-registered first — pin it so a change is
@@ -183,6 +229,8 @@ let () =
           Alcotest.test_case "insertion order" `Quick test_insertion_order;
           Alcotest.test_case "bytes and pages" `Quick test_bytes_and_pages;
           Alcotest.test_case "clear" `Quick test_clear;
+          Alcotest.test_case "clear keeps capacity" `Quick test_clear_keeps_capacity;
+          Alcotest.test_case "tuple table reset" `Quick test_tuple_tbl_reset;
           Alcotest.test_case "observer order" `Quick test_observer_order;
         ] );
       ( "index",

@@ -234,6 +234,103 @@ let test_iteration_profile () =
         > Rdbms.Stats.total_io last.Core.Runtime.ip_io)
   | _ -> Alcotest.fail "expected exactly two iterations")
 
+(* The fused merge step and the paper's statement sequence must compute
+   the same fixpoint in the same number of iterations, with the same
+   per-iteration deltas, under every rewriting. *)
+let loop_workloads () =
+  let tree = Workload.Graphgen.full_binary_tree ~depth:6 () in
+  let sg_tree = Workload.Graphgen.full_binary_tree ~depth:4 () in
+  let dag =
+    Workload.Graphgen.dag ~rng:(Dkb_util.Rng.create 7) ~path_length:6 ~width:5 ~fan_out:2 ()
+  in
+  let parent_session edges rules =
+    let s = Session.create () in
+    ok (Workload.Queries.setup_parent s edges);
+    ok (Session.load_rules s rules);
+    s
+  in
+  [
+    ( "ancestor",
+      (fun () -> parent_session tree.Workload.Graphgen.t_edges Workload.Queries.ancestor_rules),
+      Workload.Queries.ancestor_goal tree.Workload.Graphgen.t_root );
+    ( "tc-dag",
+      (fun () -> session_with dag.Workload.Graphgen.d_edges Workload.Queries.tc_rules),
+      Workload.Queries.tc_goal_from (List.hd dag.Workload.Graphgen.d_sources) );
+    ( "same-generation",
+      (fun () ->
+        parent_session sg_tree.Workload.Graphgen.t_edges Workload.Queries.same_generation_rules),
+      Workload.Queries.same_generation_goal
+        (List.hd (Workload.Graphgen.tree_nodes_at_level sg_tree 3)) );
+  ]
+
+let test_fused_matches_paper_loop () =
+  List.iter
+    (fun (name, session, goal) ->
+      List.iter
+        (fun (oname, optimize) ->
+          let run paper_loop =
+            let options = { Session.default_options with optimize; paper_loop } in
+            (ok (Session.query_goal (session ()) ~options goal)).Session.run
+          in
+          let fused = run false and paper = run true in
+          let what = Printf.sprintf "%s, %s: " name oname in
+          let rows r = List.sort compare (List.map Array.to_list r.Core.Runtime.rows) in
+          Alcotest.(check bool) (what ^ "answers exist") true (rows fused <> []);
+          Alcotest.(check bool) (what ^ "same answers") true (rows fused = rows paper);
+          Alcotest.(check (list (pair string int))) (what ^ "same iterations")
+            paper.Core.Runtime.iterations fused.Core.Runtime.iterations;
+          let deltas r = List.map (fun ip -> ip.Core.Runtime.ip_deltas) r.Core.Runtime.profile in
+          Alcotest.(check (list (list (pair string int)))) (what ^ "same per-iteration deltas")
+            (deltas paper) (deltas fused))
+        [
+          ("no-opt", Core.Compiler.Opt_off);
+          ("magic", Core.Compiler.Opt_on);
+          ("supplementary", Core.Compiler.Opt_supplementary);
+        ])
+    (loop_workloads ())
+
+(* The statement texts each loop issues, seen through the engine's trace
+   hook: the paper loop's EXCEPT / COUNT( * ) / copies, the fused loop's
+   single merge. *)
+let test_loop_statement_texts () =
+  let texts paper_loop =
+    let s = session_with [ (1, 2); (2, 3); (3, 4) ] Workload.Queries.tc_rules in
+    let seen = ref [] in
+    Rdbms.Engine.set_trace_hook (Session.engine s)
+      (Some (function Rdbms.Engine.Tr_stmt_end { sql; _ } -> seen := sql :: !seen | _ -> ()));
+    let options = { Session.default_options with paper_loop } in
+    ignore (ok (Session.query_goal s ~options tc_all_goal));
+    List.rev !seen
+  in
+  let issued texts sql = List.mem sql texts in
+  let paper = texts true and fused = texts false in
+  let module N = Datalog.Names in
+  let cand = N.new_delta "tc" and delta = N.delta "tc" and diff = N.diff "tc" in
+  List.iter
+    (fun sql -> Alcotest.(check bool) ("paper loop issues " ^ sql) true (issued paper sql))
+    [
+      "TRUNCATE TABLE " ^ cand;
+      "TRUNCATE TABLE " ^ diff;
+      Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM tc)" diff cand;
+      "SELECT COUNT(*) FROM " ^ diff;
+      "TRUNCATE TABLE " ^ delta;
+      Printf.sprintf "INSERT INTO %s SELECT * FROM %s" delta diff;
+      "INSERT INTO tc SELECT * FROM " ^ delta;
+    ];
+  Alcotest.(check bool) "paper loop issues no merge" false
+    (List.exists (fun sql -> Astring.String.is_infix ~affix:"NEW INTO" sql) paper);
+  List.iter
+    (fun sql -> Alcotest.(check bool) ("fused loop issues " ^ sql) true (issued fused sql))
+    [
+      "TRUNCATE TABLE " ^ cand;
+      "TRUNCATE TABLE " ^ delta;
+      Printf.sprintf "INSERT INTO tc NEW INTO %s SELECT * FROM %s" delta cand;
+    ];
+  Alcotest.(check bool) "fused loop never touches the diff table" false
+    (List.exists (fun sql -> Astring.String.is_infix ~affix:diff sql) fused);
+  Alcotest.(check bool) "fused loop issues fewer statements" true
+    (List.length fused < List.length paper)
+
 let test_profile_matches_iteration_counts () =
   let edges = [ (1, 2); (2, 3); (3, 4); (4, 5) ] in
   let s = session_with edges Workload.Queries.tc_rules in
@@ -302,6 +399,8 @@ let () =
       ( "iteration profile",
         [
           Alcotest.test_case "same_generation deltas" `Quick test_iteration_profile;
+          Alcotest.test_case "fused loop = paper loop" `Quick test_fused_matches_paper_loop;
+          Alcotest.test_case "loop statement texts" `Quick test_loop_statement_texts;
           Alcotest.test_case "profile entries = iteration counts" `Quick
             test_profile_matches_iteration_counts;
         ] );

@@ -54,8 +54,24 @@ let test_insert_values () =
 
 let test_insert_select () =
   match parse_ok "INSERT INTO t SELECT DISTINCT a FROM u WHERE a = 1" with
-  | Insert_select { table = "t"; query = Q_select { distinct = true; _ } } -> ()
+  | Insert_select { table = "t"; new_into = None; query = Q_select { distinct = true; _ } } -> ()
   | _ -> Alcotest.fail "wrong"
+
+let test_insert_new_into () =
+  let sql = "INSERT INTO p NEW INTO delta__p SELECT * FROM new_delta__p" in
+  (match parse_ok sql with
+  | Insert_select { table = "p"; new_into = Some "delta__p"; query = Q_select { from = [ f ]; _ } }
+    when f.table = "new_delta__p" -> ()
+  | _ -> Alcotest.fail "wrong");
+  Alcotest.(check string) "printer round-trips" sql
+    (Pr.stmt (parse_ok sql));
+  (* keywords are case-insensitive, and the second target needs INTO *)
+  (match parse_ok "insert into p new into d select a from u" with
+  | Insert_select { new_into = Some "d"; _ } -> ()
+  | _ -> Alcotest.fail "lowercase NEW INTO");
+  match P.parse "INSERT INTO p NEW d SELECT * FROM u" with
+  | exception P.Parse_error _ -> ()
+  | _ -> Alcotest.fail "NEW without INTO must not parse"
 
 let test_select_joins () =
   match parse_ok "SELECT t1.a, t2.b FROM t t1, u t2 WHERE t1.a = t2.a AND t2.b <> 'x'" with
@@ -261,7 +277,9 @@ let gen_stmt =
         (fun table rows -> Insert_values { table; rows })
         gen_ident
         (list_size (int_range 1 3) (list_size (int_range 1 3) gen_literal));
-      map2 (fun table q -> Insert_select { table; query = q }) gen_ident (gen_query 1);
+      map3
+        (fun table new_into q -> Insert_select { table; new_into; query = q })
+        gen_ident (option gen_ident) (gen_query 1);
       map2 (fun table where -> Delete { table; where }) gen_ident (option (gen_cond 1));
       map3
         (fun table sets where -> Update { table; sets; where })
@@ -297,6 +315,7 @@ let () =
           Alcotest.test_case "truncate" `Quick test_truncate;
           Alcotest.test_case "insert values" `Quick test_insert_values;
           Alcotest.test_case "insert select" `Quick test_insert_select;
+          Alcotest.test_case "insert new into" `Quick test_insert_new_into;
           Alcotest.test_case "select with joins" `Quick test_select_joins;
           Alcotest.test_case "set operations" `Quick test_set_operations;
           Alcotest.test_case "set op associativity" `Quick test_set_op_left_assoc;

@@ -65,7 +65,12 @@ let check e sql stmt =
         let key_seq = List.map (fun r -> Array.of_list (List.map (fun (i, _) -> r.(i)) keys)) in
         check_rows sql ~what:"ORDER BY key sequence" ~expected:(key_seq expected) ~got:(key_seq got)
       end
-  | A.Insert_select { table; query } -> mutation table (Ref.insert_select cat table query)
+  | A.Insert_select { table; new_into = None; query } ->
+      mutation table (Ref.insert_select cat table query)
+  | A.Insert_select { table; new_into = Some d; query } ->
+      let expected_d = Ref.new_into cat table d query in
+      mutation table (Ref.insert_select cat table query);
+      check_rows sql ~what:("NEW INTO table " ^ d) ~expected:expected_d ~got:(Ref.contents cat d)
   | A.Delete { table; where } -> mutation table (Ref.delete cat table where)
   | A.Update { table; sets; where } -> mutation table (Ref.update cat table sets where)
   | _ -> ignore (E.exec e sql)
@@ -146,6 +151,8 @@ let mutations =
   [
     "INSERT INTO third SELECT k, v FROM big WHERE k < 10";
     "INSERT INTO third SELECT b.k, s.w FROM big b, small s WHERE b.k = s.k";
+    (* rows new to third also land in small; duplicate source rows count once *)
+    "INSERT INTO third NEW INTO small SELECT k, v FROM big UNION ALL SELECT k, v FROM big";
     "DELETE FROM third WHERE k > 12";
     "DELETE FROM big WHERE k = 3";
     "DELETE FROM big WHERE k = 4 AND v = 's1'";
@@ -505,8 +512,21 @@ let mutation_gen tables =
   Gen.frequency
     [
       ( 2,
+        (* a NEW INTO target needs the same column types, so only tables
+           whose types match [t]'s are candidates *)
+        let twins =
+          List.filter_map
+            (fun u ->
+              if u.name <> t.name && List.map snd u.cols = List.map snd t.cols then Some u.name
+              else None)
+            tables
+        in
+        let* new_into =
+          if twins = [] then Gen.return None
+          else Gen.frequency [ (1, Gen.return None); (2, Gen.map Option.some (Gen.oneofl twins)) ]
+        in
         Gen.map
-          (fun query -> A.Insert_select { table = t.name; query })
+          (fun query -> A.Insert_select { table = t.name; new_into; query })
           (set_query_gen tables (List.map snd t.cols) 1) );
       (2, Gen.map (fun where -> A.Delete { table = t.name; where }) (mutation_where_gen t));
       ( 2,
@@ -576,6 +596,7 @@ let setup_sql c =
 let print_case c = String.concat ";\n" (setup_sql c @ List.map Rdbms.Sql_printer.stmt c.stmts)
 
 let statements_checked = ref 0
+let new_into_checked = ref 0
 
 let modes = [ Planner.Syntactic; Planner.Greedy; Planner.Costed ]
 
@@ -602,7 +623,10 @@ let prop_case c =
           | exception E.Sql_error msg -> where (sql ^ ": engine rejected it: " ^ msg)
           | exception Ref.Unsupported msg -> where (sql ^ ": outside the reference subset: " ^ msg)
           | exception Failure msg -> where msg);
-          if compared stmt then incr statements_checked)
+          if compared stmt then incr statements_checked;
+          match stmt with
+          | A.Insert_select { new_into = Some _; _ } -> incr new_into_checked
+          | _ -> ())
         c.stmts;
       match E.check_invariants e with
       | [] -> ()
@@ -611,15 +635,21 @@ let prop_case c =
   true
 
 let min_statements = 10_000
+let min_new_into = 100
 
 let test_random_battery () =
   statements_checked := 0;
+  new_into_checked := 0;
   QCheck2.Test.check_exn
     (QCheck2.Test.make ~count:200 ~name:"engine = reference on random SQL" ~print:print_case
        case_gen prop_case);
-  Printf.printf "%d statements compared\n" !statements_checked;
+  Printf.printf "%d statements compared, %d of them INSERT ... NEW INTO\n" !statements_checked
+    !new_into_checked;
   if !statements_checked < min_statements then
-    Alcotest.failf "only %d statements compared (want >= %d)" !statements_checked min_statements
+    Alcotest.failf "only %d statements compared (want >= %d)" !statements_checked min_statements;
+  if !new_into_checked < min_new_into then
+    Alcotest.failf "only %d NEW INTO statements compared (want >= %d)" !new_into_checked
+      min_new_into
 
 let () =
   Alcotest.run "sql_reference"

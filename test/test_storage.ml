@@ -282,6 +282,40 @@ let test_relation_attach_detach () =
   Heap.close h;
   Sys.remove path
 
+(* A backed relation keeps its row and heap-location arrays across a
+   clear; the heap, pool and relation audits stay clean through refills. *)
+let test_backed_clear_keeps_capacity () =
+  let path = tmpfile "dkb_test_rel_clear.heap" in
+  let pool = Pool.create ~pages:4 () in
+  let r = R.create (S.make [ ("a", D.TInt); ("b", D.TStr) ]) in
+  let h = Heap.create ~pool path in
+  R.attach r h `Overwrite;
+  let audit what =
+    Alcotest.(check (list string)) (what ^ ": relation audit") [] (R.check r);
+    Alcotest.(check (list string)) (what ^ ": storage audit") []
+      (List.map Rdbms.Invariants.violation_to_string
+         (Rdbms.Invariants.check_storage ~pool ~heaps:[ ("t", h) ]))
+  in
+  List.iter (fun i -> ignore (R.insert r (row i "v"))) (List.init 300 Fun.id);
+  let grown = R.capacity r in
+  R.clear r;
+  Alcotest.(check int) "capacity kept" grown (R.capacity r);
+  Alcotest.(check int) "heap emptied" 0 (Heap.live h);
+  audit "after clear";
+  List.iter (fun i -> ignore (R.insert r (row i "w"))) (List.init 300 Fun.id);
+  ignore (R.delete r (row 3 "w"));
+  Alcotest.(check int) "to_list reads the refill through the heap" 299 (List.length (R.to_list r));
+  audit "after refill";
+  R.clear r;
+  List.iter (fun i -> ignore (R.insert r (row i "x"))) (List.init 5 Fun.id);
+  R.clear r;
+  Alcotest.(check int) "shrunk past the bound" 16 (R.capacity r);
+  List.iter (fun i -> ignore (R.insert r (row i "y"))) (List.init 40 Fun.id);
+  audit "after shrink and refill";
+  R.detach r;
+  Heap.close h;
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Engine-level: measured page_reads, TRUNCATE/DROP frame accounting *)
 
@@ -371,7 +405,10 @@ let () =
           heap_model_agreement;
         ] );
       ( "backed relation",
-        [ Alcotest.test_case "attach/detach" `Quick test_relation_attach_detach ] );
+        [
+          Alcotest.test_case "attach/detach" `Quick test_relation_attach_detach;
+          Alcotest.test_case "clear keeps capacity" `Quick test_backed_clear_keeps_capacity;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "measured reads" `Quick test_engine_measured_reads;
